@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 	"sync"
-	"time"
 
 	"tensordimm"
 	"tensordimm/internal/tensor"
@@ -46,11 +45,10 @@ func main() {
 	fmt.Printf("deployed %s: %d tables x %d rows, %d slots, %d lanes\n",
 		cfg.Name, cfg.Tables, cfg.TableRows, dep.Slots(), dep.Lanes())
 
-	// The server coalesces concurrent requests into merged batches of up
-	// to maxBatch samples, waiting at most 500us for co-riders.
+	// The server merges requests that queue up while its workers are busy
+	// into batches of up to maxBatch samples; it never waits for co-riders.
 	srv, err := tensordimm.NewServer(tensordimm.ServeConfig{
 		MaxBatch: maxBatch,
-		MaxDelay: 500 * time.Microsecond,
 	}, dep)
 	if err != nil {
 		log.Fatal(err)

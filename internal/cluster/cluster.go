@@ -93,10 +93,6 @@ type Config struct {
 	// Workers is each shard server's concurrent executor count (and its
 	// deployment's slots and lanes). Defaults to 2.
 	Workers int
-	// MaxDelay is each shard server's micro-batching deadline. Zero
-	// defaults to 100us: sub-requests already carry a whole cluster
-	// request's misses, so shards wait only briefly for co-riders.
-	MaxDelay time.Duration
 	// CacheBytes is the per-shard hot-row cache capacity in bytes. Zero
 	// (or anything smaller than one row) disables caching.
 	CacheBytes int64
@@ -116,9 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers == 0 {
 		c.Workers = 2
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 100 * time.Microsecond
 	}
 	if c.Fabric.Ports == 0 {
 		c.Fabric = interconnect.NVSwitch(c.Nodes + 1)
@@ -212,9 +205,9 @@ func New(m *recsys.Model, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: embedding dim %d must be a multiple of DIMMsPerNode x 16 = %d",
 			mc.EmbDim, stripeElems)
 	}
-	if cfg.MaxBatch < 0 || cfg.Workers < 0 || cfg.MaxDelay < 0 || cfg.CacheBytes < 0 {
-		return nil, fmt.Errorf("cluster: negative sizing (MaxBatch %d, Workers %d, MaxDelay %v, CacheBytes %d)",
-			cfg.MaxBatch, cfg.Workers, cfg.MaxDelay, cfg.CacheBytes)
+	if cfg.MaxBatch < 0 || cfg.Workers < 0 || cfg.CacheBytes < 0 {
+		return nil, fmt.Errorf("cluster: negative sizing (MaxBatch %d, Workers %d, CacheBytes %d)",
+			cfg.MaxBatch, cfg.Workers, cfg.CacheBytes)
 	}
 
 	c := &Cluster{
@@ -225,8 +218,8 @@ func New(m *recsys.Model, cfg Config) (*Cluster, error) {
 	}
 	c.scratchPool.New = func() any { return c.newScratch() }
 	// Router workers: enough for every shard of several concurrent
-	// requests to be in flight at once. A call beyond that queues briefly;
-	// the shard servers' micro-batching absorbs the jitter.
+	// requests to be in flight at once. A call beyond that waits for a free
+	// router worker while the shards work through the calls they already hold.
 	workers := cfg.Nodes * cfg.Workers * 2
 	c.dispatch = make(chan *shardCall, workers)
 	for i := 0; i < workers; i++ {
@@ -283,7 +276,6 @@ func (c *Cluster) buildShard(s int) (*shard, error) {
 	}
 	sh.srv, err = serve.New(serve.Config{
 		MaxBatch: maxSub,
-		MaxDelay: c.cfg.MaxDelay,
 		Workers:  c.cfg.Workers,
 	}, dep)
 	if err != nil {

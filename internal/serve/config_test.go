@@ -6,11 +6,10 @@ import (
 	"tensordimm/internal/isa"
 )
 
-// TestConfigRejectsQueueShallowerThanWorkers pins the pooled-buffer
-// invariant documented on Config: the batch freelist is sized for
-// QueueDepth queued plus Workers executing batches, so a queue shallower
-// than the worker pool is rejected — both when set explicitly and when
-// Workers is defaulted from the deployments' slots.
+// TestConfigRejectsQueueShallowerThanWorkers pins the sizing rule
+// documented on Config: a queue shallower than the worker pool is
+// rejected — both when set explicitly and when Workers is defaulted from
+// the deployments' slots.
 func TestConfigRejectsQueueShallowerThanWorkers(t *testing.T) {
 	cfg := testConfig(2, 2, 128, false, isa.RAdd)
 	d := newDeployment(t, cfg, 8, 2, 2)
@@ -37,7 +36,7 @@ func TestConfigRejectsQueueShallowerThanWorkers(t *testing.T) {
 // TestConfigDefaultQueueDepthTracksWorkers pins that a defaulted
 // QueueDepth grows with a worker pool larger than 256 instead of
 // rejecting it: a caller asking only for more workers must not trip the
-// pooled-buffer invariant through the default.
+// QueueDepth >= Workers rule through the default.
 func TestConfigDefaultQueueDepthTracksWorkers(t *testing.T) {
 	cfg := testConfig(2, 2, 128, false, isa.RAdd)
 	d := newDeployment(t, cfg, 8, 2, 2)

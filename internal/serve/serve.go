@@ -9,11 +9,13 @@
 // the observation RecNMP (Ke et al., 2020) quantifies for production
 // traffic. The server closes that gap with two mechanisms:
 //
-//   - dynamic micro-batching: requests against the model are coalesced into
-//     one merged embedding execution, up to MaxBatch samples or until the
-//     oldest waiting request has aged MaxDelay, whichever comes first. The
-//     per-sample GATHER/REDUCE semantics are positional, so a merged batch
-//     is bit-identical to running each request alone;
+//   - work-conserving micro-batching: an idle worker blocks for one
+//     request, then takes whatever else is already queued, without waiting,
+//     up to MaxBatch samples, and executes the merged batch at once. Batches
+//     stay at one request under light load and grow by themselves when every
+//     worker is busy and requests pile up. The per-sample GATHER/REDUCE
+//     semantics are positional, so a merged batch is bit-identical to
+//     running each request alone;
 //
 //   - a worker pool over the deployment's execution slots: each worker runs
 //     a merged batch whose per-table programs fan out across the
@@ -53,40 +55,30 @@ const (
 // Config tunes the serving runtime. The zero value of every field selects a
 // sensible default at New; negative values are invalid and rejected by New
 // (they are never silently replaced by a default, so a sign bug in a caller
-// surfaces as an error instead of a 200us deadline).
+// surfaces as an error instead of a silently resized server).
 //
-// Pooled-buffer invariant. The server recycles its per-request and
-// per-batch objects and gives every worker goroutine one private scratch
-// (merged index lists and embedding read-back buffer, sized by MaxBatch).
-// That is safe because (a) a merged batch is owned by exactly one worker
-// from dispatch until its last member reply is sent, and (b) the batcher
-// caps a batch's member count at QueueDepth, which sizes the pooled member
-// arrays. New therefore rejects QueueDepth < Workers: a submission queue
-// shallower than the worker pool could not have fed every executing worker
-// from distinct queue slots, so the batch freelist sizing — Workers
-// executing plus QueueDepth queued — would no longer bound how many batches
-// are simultaneously live, and a recycled batch could alias one still being
-// drained. See ARCHITECTURE.md, "Memory discipline".
+// Worker-owned batches. The server recycles its request objects and gives
+// every worker goroutine one private scratch: the member arrays of the batch
+// it is forming (capped at QueueDepth members), the merged index lists and
+// the embedding read-back buffer (sized by MaxBatch). A batch is formed,
+// executed and replied to by the same worker, so no batch object ever
+// changes hands. New rejects QueueDepth < Workers: a queue shallower than
+// the worker pool cannot hold one waiting request per worker, which is a
+// sizing mistake. See ARCHITECTURE.md, "Memory discipline".
 type Config struct {
 	// MaxBatch caps how many samples one merged embedding execution may
 	// carry. Zero defaults to the smallest MaxBatch of the deployments;
 	// negative is invalid.
 	MaxBatch int
-	// MaxDelay bounds how long the oldest request of a forming batch waits
-	// for co-riders before the batch is dispatched anyway. Zero defaults to
-	// 200us — far below a recommender's latency SLO, long enough to
-	// coalesce under load. Negative is invalid: a negative deadline would
-	// make every timer fire immediately, silently disabling micro-batching.
-	MaxDelay time.Duration
 	// Workers is the number of merged batches executed concurrently. Zero
 	// defaults to the total execution slots across the deployments;
 	// negative is invalid.
 	Workers int
-	// QueueDepth is the submission queue capacity; submissions beyond it
-	// block. Zero defaults to 256 or Workers, whichever is larger (the
-	// pooled batch buffers require QueueDepth >= Workers, so the default
-	// must track a large worker pool rather than reject it); negative is
-	// invalid.
+	// QueueDepth is the submission queue capacity and the member cap of one
+	// merged batch; submissions beyond it block. Zero defaults to 256 or
+	// Workers, whichever is larger (New requires QueueDepth >= Workers, so
+	// the default must track a large worker pool rather than reject it);
+	// negative is invalid.
 	QueueDepth int
 }
 
@@ -95,9 +87,6 @@ type Config struct {
 func (c Config) validate() error {
 	if c.MaxBatch < 0 {
 		return fmt.Errorf("serve: MaxBatch %d is negative (use 0 for the default)", c.MaxBatch)
-	}
-	if c.MaxDelay < 0 {
-		return fmt.Errorf("serve: MaxDelay %v is negative (use 0 for the 200us default)", c.MaxDelay)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("serve: Workers %d is negative (use 0 for the default)", c.Workers)
@@ -112,7 +101,7 @@ func (c Config) validate() error {
 
 // withDefaults fills every zero field with its documented default. It must
 // run after validate: it only ever replaces exact zeros, so a negative
-// value would otherwise leak through to the batcher's timer.
+// value would otherwise leak through to the workers.
 func (c Config) withDefaults(deps []*runtime.Deployment) Config {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = deps[0].MaxBatch()
@@ -121,9 +110,6 @@ func (c Config) withDefaults(deps []*runtime.Deployment) Config {
 				c.MaxBatch = d.MaxBatch()
 			}
 		}
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 200 * time.Microsecond
 	}
 	if c.Workers == 0 {
 		for _, d := range deps {
@@ -181,21 +167,16 @@ func putRequest(r *request) {
 	reqPool.Put(r)
 }
 
-// mergedBatch is a coalesced group of requests dispatched as one execution.
-// Batches are pooled per server; the owning worker recycles the batch after
-// the last member reply is sent (see the Config invariant).
-type mergedBatch struct {
-	reqs  []*request
-	total int // sum of request batches
-}
-
-// workerScratch is one worker goroutine's private execution scratch: the
-// partition of a batch into updates and reads, the merged per-table index
-// lists, and the embedding read-back buffer. Sized once from the server
-// geometry, reused for every batch the worker executes.
+// workerScratch is one worker goroutine's private batch and execution
+// scratch: the members of the batch it is forming, split into updates and
+// reads in arrival order, the request carried over to the next batch, the
+// merged per-table index lists, and the embedding read-back buffer. Sized
+// once from the server geometry, reused for every batch the worker runs.
 type workerScratch struct {
 	ups    []*request
 	reads  []*request
+	total  int      // samples across reads
+	carry  *request // head-of-line of the next batch: did not fit this one
 	merged [][]int
 	emb    []float32
 }
@@ -212,18 +193,11 @@ type Server struct {
 	tables, dim, reduction int // model geometry, cached for the hot path
 	width                  int // tables*dim, the embedding row width
 
-	// mbPool recycles mergedBatch objects between the batcher and the
-	// workers; see the Config invariant for why its sizing is safe.
-	mbPool sync.Pool
-
 	mu       sync.Mutex
 	closed   bool
 	inflight sync.WaitGroup // submits accepted but not yet enqueued
 	queue    chan *request
-
-	dispatch  chan *mergedBatch
-	batcherWG sync.WaitGroup
-	workerWG  sync.WaitGroup
+	workerWG sync.WaitGroup
 
 	// closeDone is closed once the first Close has fully drained and
 	// released; every Close call waits on it, so no caller returns while
@@ -284,8 +258,8 @@ func (s *Server) Instrument(reg *telemetry.Registry, labels ...telemetry.Label) 
 }
 
 // New validates the deployments (same model geometry everywhere, batching
-// cap within every deployment's capacity), starts the batcher and worker
-// goroutines, and returns a serving handle.
+// cap within every deployment's capacity), starts the worker goroutines,
+// and returns a serving handle.
 func New(cfg Config, deps ...*runtime.Deployment) (*Server, error) {
 	if len(deps) == 0 {
 		return nil, fmt.Errorf("serve: at least one deployment required")
@@ -313,8 +287,8 @@ func New(cfg Config, deps ...*runtime.Deployment) (*Server, error) {
 		}
 	}
 	if cfg.QueueDepth < cfg.Workers {
-		return nil, fmt.Errorf("serve: QueueDepth %d is below Workers %d; the pooled batch buffers are sized "+
-			"for QueueDepth queued plus Workers executing batches (see Config)", cfg.QueueDepth, cfg.Workers)
+		return nil, fmt.Errorf("serve: QueueDepth %d is below Workers %d; the queue must hold at least "+
+			"one waiting request per worker (see Config)", cfg.QueueDepth, cfg.Workers)
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -324,15 +298,9 @@ func New(cfg Config, deps ...*runtime.Deployment) (*Server, error) {
 		reduction: ref.Reduction,
 		width:     ref.Tables * ref.EmbDim,
 		queue:     make(chan *request, cfg.QueueDepth),
-		dispatch:  make(chan *mergedBatch, cfg.Workers),
 		closeDone: make(chan struct{}),
 		started:   time.Now(),
 	}
-	s.mbPool.New = func() any {
-		return &mergedBatch{reqs: make([]*request, 0, cfg.QueueDepth)}
-	}
-	s.batcherWG.Add(1)
-	go s.batcher()
 	for w := 0; w < cfg.Workers; w++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -456,7 +424,7 @@ func (s *Server) Update(ups []runtime.TableUpdate) error {
 	return err
 }
 
-// enqueue hands one request to the batcher, blocks for its result, and
+// enqueue hands one request to the workers, blocks for its result, and
 // recycles the request.
 func (s *Server) enqueue(req *request) (*tensor.Tensor, error) {
 	s.mu.Lock()
@@ -477,68 +445,8 @@ func (s *Server) enqueue(req *request) (*tensor.Tensor, error) {
 	return r.out, r.err
 }
 
-// batcher coalesces submissions into merged batches: a batch closes when it
-// reaches MaxBatch samples, when the oldest member has waited MaxDelay, or
-// when the queue shuts down.
-func (s *Server) batcher() {
-	defer s.batcherWG.Done()
-	defer close(s.dispatch)
-	// One timer serves every batch (armed per batch with Reset). A stale
-	// fire that slips between Stop and the drain below only dispatches the
-	// next batch early — never incorrectly.
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	var pending *request
-	for {
-		first := pending
-		pending = nil
-		if first == nil {
-			r, ok := <-s.queue
-			if !ok {
-				return
-			}
-			first = r
-		}
-		mb := s.mbPool.Get().(*mergedBatch)
-		mb.reqs = append(mb.reqs[:0], first)
-		mb.total = first.batch
-		timer.Reset(s.cfg.MaxDelay)
-		fired := false
-	collect:
-		// Updates contribute zero samples to total, so the member cap keeps
-		// an update flood from growing one merged batch without bound.
-		for mb.total < s.cfg.MaxBatch && len(mb.reqs) < s.cfg.QueueDepth {
-			select {
-			case r, ok := <-s.queue:
-				if !ok {
-					break collect
-				}
-				if mb.total+r.batch > s.cfg.MaxBatch {
-					pending = r // head-of-line for the next batch
-					break collect
-				}
-				mb.reqs = append(mb.reqs, r)
-				mb.total += r.batch
-			case <-timer.C:
-				fired = true
-				break collect
-			}
-		}
-		if !fired && !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		s.dispatch <- mb
-	}
-}
-
-// worker executes merged batches on its private scratch until the dispatch
-// channel drains.
+// worker forms and executes merged batches on its private scratch until
+// the queue is closed and drained.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	ws := &workerScratch{
@@ -550,43 +458,75 @@ func (s *Server) worker() {
 	for t := range ws.merged {
 		ws.merged[t] = make([]int, 0, s.cfg.MaxBatch*s.reduction)
 	}
-	for mb := range s.dispatch {
-		s.execute(mb, ws)
+	for s.collect(ws) {
+		s.execute(ws)
 	}
 }
 
-// execute runs one merged batch: member updates first (in arrival order,
-// so an update never loses to a read it was coalesced with on the same
-// rows), then the merged embedding for the member reads on the next
-// deployment replica, fanning results back out to the member requests.
-// The batch is recycled once the last member reply has been sent.
-func (s *Server) execute(mb *mergedBatch, ws *workerScratch) {
-	start := time.Now()
-	for _, r := range mb.reqs {
-		wait := start.Sub(r.enq).Seconds()
-		s.queueLat.Observe(wait)
-		if s.tracer != nil {
-			s.tQueue.Observe(wait)
-			r.span.BeginAt(r.enq)
-			r.span.Mark(hopQueue)
+// collect forms the worker's next batch. It takes the request carried over
+// from the previous batch, or blocks for one, then takes whatever is
+// already queued without waiting, up to MaxBatch samples and QueueDepth
+// members. A request that does not fit is carried to the next batch. It
+// reports false once the queue is closed and drained.
+func (s *Server) collect(ws *workerScratch) bool {
+	ws.ups, ws.reads, ws.total = ws.ups[:0], ws.reads[:0], 0
+	r := ws.carry
+	ws.carry = nil
+	if r == nil {
+		var ok bool
+		if r, ok = <-s.queue; !ok {
+			return false
 		}
 	}
-
-	// Partition: updates apply before any member read executes.
-	ws.ups, ws.reads = ws.ups[:0], ws.reads[:0]
-	for _, r := range mb.reqs {
+	for {
 		if r.updates != nil {
 			ws.ups = append(ws.ups, r)
 		} else {
 			ws.reads = append(ws.reads, r)
+			ws.total += r.batch
+		}
+		// Updates contribute zero samples to total, so the member cap keeps
+		// an update flood from growing one merged batch without bound.
+		if ws.total >= s.cfg.MaxBatch || len(ws.ups)+len(ws.reads) >= s.cfg.QueueDepth {
+			return true
+		}
+		select {
+		case next, ok := <-s.queue:
+			if !ok {
+				return true
+			}
+			if ws.total+next.batch > s.cfg.MaxBatch {
+				ws.carry = next
+				return true
+			}
+			r = next
+		default:
+			return true
 		}
 	}
-	total := mb.total
-	s.recycleBatch(mb)
+}
+
+// execute runs the worker's collected batch: member updates first (in
+// arrival order, so an update never loses to a read it was coalesced with
+// on the same rows), then the merged embedding for the member reads on the
+// next deployment replica, fanning results back out to the member requests.
+func (s *Server) execute(ws *workerScratch) {
+	start := time.Now()
+	for _, members := range [2][]*request{ws.ups, ws.reads} {
+		for _, r := range members {
+			wait := start.Sub(r.enq).Seconds()
+			s.queueLat.Observe(wait)
+			if s.tracer != nil {
+				s.tQueue.Observe(wait)
+				r.span.BeginAt(r.enq)
+				r.span.Mark(hopQueue)
+			}
+		}
+	}
 	if len(ws.ups) > 0 {
 		s.applyUpdates(ws.ups)
 	}
-	reads := ws.reads
+	reads, total := ws.reads, ws.total
 	if len(reads) == 0 {
 		return
 	}
@@ -654,17 +594,6 @@ func (s *Server) execute(mb *mergedBatch, ws *workerScratch) {
 		}
 		r.done <- res
 	}
-}
-
-// recycleBatch clears a merged batch's member references and returns it to
-// the pool. Safe at the top of execute because the member requests are
-// already partitioned into the worker's scratch.
-func (s *Server) recycleBatch(mb *mergedBatch) {
-	for i := range mb.reqs {
-		mb.reqs[i] = nil
-	}
-	mb.reqs, mb.total = mb.reqs[:0], 0
-	s.mbPool.Put(mb)
 }
 
 // applyUpdates applies a merged batch's update requests in arrival order,
@@ -774,9 +703,9 @@ func (s *Server) Restore(table int, rows []int, vals []float32) error {
 }
 
 // Close stops accepting requests, drains everything already submitted
-// (pending micro-batches execute and reply — reads and updates alike, so a
-// caller blocked in Infer, Embed or Update always gets its result), stops
-// the batcher and workers, and releases the owned deployments. It is
+// (queued and carried requests execute and reply — reads and updates alike,
+// so a caller blocked in Infer, Embed or Update always gets its result),
+// stops the workers, and releases the owned deployments. It is
 // idempotent, and every call — including concurrent ones — returns only
 // after the drain has completed; requests submitted after Close fail fast.
 func (s *Server) Close() error {
@@ -786,7 +715,6 @@ func (s *Server) Close() error {
 		s.mu.Unlock()
 		s.inflight.Wait() // every accepted submit has reached the queue
 		close(s.queue)
-		s.batcherWG.Wait()
 		s.workerWG.Wait()
 		for _, d := range s.deps {
 			if err := d.Release(); err != nil && s.closeErr == nil {

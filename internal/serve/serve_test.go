@@ -97,13 +97,13 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestConcurrentClientsMatchGolden is the core serving guarantee: many
-// concurrent clients, merged arbitrarily by the batcher, each get results
+// concurrent clients, merged arbitrarily by the workers, each get results
 // bitwise-identical to the golden (unbatched, pure-software) model. Run
 // with -race.
 func TestConcurrentClientsMatchGolden(t *testing.T) {
 	cfg := testConfig(3, 4, 128, true, isa.RAdd)
 	dep := newDeployment(t, cfg, 16, 2, 2*cfg.Tables)
-	s, err := New(Config{MaxBatch: 16, MaxDelay: 2 * time.Millisecond}, dep)
+	s, err := New(Config{MaxBatch: 16}, dep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func errMismatch(c, i int) error { return errMismatch2{c, i} }
 func TestInferMatchesUnbatchedModel(t *testing.T) {
 	cfg := testConfig(2, 2, 128, false, isa.RMul) // NCF-class pairwise path
 	dep := newDeployment(t, cfg, 8, 2, 4)
-	s, err := New(Config{MaxDelay: time.Millisecond}, dep)
+	s, err := New(Config{}, dep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,48 +206,138 @@ func TestInferMatchesUnbatchedModel(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces floods a single-worker server and verifies the
-// batcher actually merges: far fewer executions than requests.
-func TestBatchingCoalesces(t *testing.T) {
-	cfg := testConfig(2, 5, 128, true, isa.RAdd)
-	dep := newDeployment(t, cfg, 32, 1, cfg.Tables)
-	s, err := New(Config{MaxBatch: 32, MaxDelay: 20 * time.Millisecond, Workers: 1}, dep)
+// waitFor polls cond until it holds, failing the test after 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// embedAsync submits one Embed from a new goroutine and delivers its
+// result on the returned channel.
+func embedAsync(s *Server, rows [][]int, batch int) <-chan *tensor.Tensor {
+	out := make(chan *tensor.Tensor, 1)
+	go func() {
+		got, _ := s.Embed(rows, batch) // nil on error
+		out <- got
+	}()
+	return out
+}
+
+// stallWorker holds the table lock exclusively and submits one 1-sample
+// read, returning once the single worker has taken it and is blocked inside
+// that batch's gather. The caller releases the worker with s.tblMu.Unlock.
+func stallWorker(t *testing.T, s *Server, rows [][]int) <-chan *tensor.Tensor {
+	t.Helper()
+	s.tblMu.Lock()
+	out := embedAsync(s, rows, 1)
+	// The worker records the queue wait just before it takes the shared
+	// table lock, so a count of one means it is parked on the lock.
+	waitFor(t, "the worker to start its first batch", func() bool { return s.queueLat.Count() == 1 })
+	return out
+}
+
+// checkGolden asserts one Embed reply is bit-identical to the golden model.
+func checkGolden(t *testing.T, dep *runtime.Deployment, got <-chan *tensor.Tensor, rows [][]int, batch int) {
+	t.Helper()
+	var res *tensor.Tensor
+	select {
+	case res = <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for a reply")
+	}
+	want, err := dep.GoldenEmbedding(rows, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const requests = 64
-	var wg sync.WaitGroup
+	if res == nil || !tensor.Equal(res, want) {
+		t.Fatal("result differs from golden model (or failed)")
+	}
+}
+
+// TestBatchingCoalesces pins the work-conserving rule deterministically:
+// with the single worker stalled inside a 1-sample batch, N requests queue
+// up; once released, the worker takes all N as one merged batch.
+func TestBatchingCoalesces(t *testing.T) {
+	cfg := testConfig(2, 5, 128, true, isa.RAdd)
+	dep := newDeployment(t, cfg, 32, 1, cfg.Tables)
+	s, err := New(Config{MaxBatch: 32, Workers: 1}, dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 31
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 3)
-	rowSets := make([][][]int, requests)
+	rowSets := make([][][]int, n+1)
 	for i := range rowSets {
 		rowSets[i] = gen.Batch(cfg.Tables, 1, cfg.Reduction)
 	}
-	errs := make([]error, requests)
-	for i := 0; i < requests; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = s.Infer(rowSets[i], 1)
-		}(i)
+	outs := []<-chan *tensor.Tensor{stallWorker(t, s, rowSets[0])}
+	for i := 1; i <= n; i++ {
+		outs = append(outs, embedAsync(s, rowSets[i], 1))
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+	waitFor(t, "the requests to queue", func() bool { return len(s.queue) == n })
+	s.tblMu.Unlock()
+	for i, out := range outs {
+		checkGolden(t, dep, out, rowSets[i], 1)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	m := s.Metrics()
-	if m.Requests != requests || m.Samples != requests {
+	if m.Requests != n+1 || m.Samples != n+1 {
 		t.Fatalf("metrics: %+v", m)
 	}
-	if m.Batches >= requests/2 {
-		t.Fatalf("micro-batching did not coalesce: %d executions for %d requests", m.Batches, requests)
+	if m.Batches != 2 || m.MeanBatch != float64(n+1)/2 {
+		t.Fatalf("%d executions with mean batch %.2f, want 2 with mean %.1f", m.Batches, m.MeanBatch, float64(n+1)/2)
 	}
-	if m.MeanBatch <= 1.5 {
-		t.Fatalf("mean batch %.2f, want > 1.5", m.MeanBatch)
+}
+
+// TestCloseDrainsCarriedRequest pins that a request a worker carries over
+// to its next batch (it did not fit the current one) is still executed when
+// Close races it, and that Close returns only after it has been answered.
+func TestCloseDrainsCarriedRequest(t *testing.T) {
+	cfg := testConfig(2, 5, 128, true, isa.RAdd)
+	dep := newDeployment(t, cfg, 4, 1, cfg.Tables)
+	s, err := New(Config{MaxBatch: 4, Workers: 1}, dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 4)
+	first := gen.Batch(cfg.Tables, 1, cfg.Reduction)
+	three := gen.Batch(cfg.Tables, 3, cfg.Reduction)
+	two := gen.Batch(cfg.Tables, 2, cfg.Reduction)
+
+	outFirst := stallWorker(t, s, first)
+	outThree := embedAsync(s, three, 3)
+	waitFor(t, "the 3-sample read to queue", func() bool { return len(s.queue) == 1 })
+	// 3 + 2 samples exceed MaxBatch 4: the 2-sample read is carried.
+	outTwo := embedAsync(s, two, 2)
+	waitFor(t, "the 2-sample read to queue", func() bool { return len(s.queue) == 2 })
+
+	closed := make(chan Metrics, 1)
+	go func() {
+		if err := s.Close(); err != nil {
+			t.Error(err)
+		}
+		closed <- s.Metrics()
+	}()
+	waitFor(t, "Close to begin", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.closed
+	})
+	s.tblMu.Unlock()
+
+	checkGolden(t, dep, outFirst, first, 1)
+	checkGolden(t, dep, outThree, three, 3)
+	checkGolden(t, dep, outTwo, two, 2)
+	// Counters are bumped before each reply is sent, so the snapshot taken
+	// the moment Close returned must already hold all three batches.
+	if m := <-closed; m.Requests != 3 || m.Batches != 3 || m.Samples != 6 {
+		t.Fatalf("at Close return: %d requests, %d batches, %d samples; want 3, 3, 6", m.Requests, m.Batches, m.Samples)
 	}
 }
 
@@ -257,7 +347,7 @@ func TestMultipleDeployments(t *testing.T) {
 	cfg := testConfig(2, 5, 128, true, isa.RAdd)
 	d1 := newDeployment(t, cfg, 8, 1, cfg.Tables)
 	d2 := newDeployment(t, cfg, 8, 1, cfg.Tables)
-	s, err := New(Config{MaxDelay: time.Millisecond}, d1, d2)
+	s, err := New(Config{}, d1, d2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,21 +425,10 @@ func TestNewRejectsNegativeConfig(t *testing.T) {
 	for _, bad := range []Config{
 		{Workers: -1},
 		{QueueDepth: -1},
-		{MaxDelay: -time.Millisecond},
 		{MaxBatch: -1},
 	} {
 		if _, err := New(bad, d); err == nil {
 			t.Fatalf("config %+v: want error, got server", bad)
 		}
-	}
-	// The documented zero-value behavior: MaxDelay 0 selects the 200us
-	// default rather than an always-expired batching timer.
-	s, err := New(Config{}, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.cfg.MaxDelay != 200*time.Microsecond {
-		t.Fatalf("zero MaxDelay defaulted to %v, want 200us", s.cfg.MaxDelay)
 	}
 }

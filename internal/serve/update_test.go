@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"tensordimm/internal/isa"
 	"tensordimm/internal/node"
@@ -153,7 +152,7 @@ func TestUpdateReplicasStayIdentical(t *testing.T) {
 // because each table has exactly one updater).
 func TestGoldenMixedTrafficConcurrent(t *testing.T) {
 	cfg := testConfig(2, 2, 128, false, isa.RAdd)
-	s, err := New(Config{Workers: 2, MaxDelay: 50 * time.Microsecond},
+	s, err := New(Config{Workers: 2},
 		newDeployment(t, cfg, 16, 2, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +231,7 @@ func TestCloseDrainsPendingMixedTraffic(t *testing.T) {
 		rounds = 2
 	}
 	for round := 0; round < rounds; round++ {
-		s, err := New(Config{Workers: 2, MaxDelay: time.Millisecond},
+		s, err := New(Config{Workers: 2},
 			newDeployment(t, cfg, 16, 2, 4))
 		if err != nil {
 			t.Fatal(err)
